@@ -46,15 +46,16 @@ object MultiStreamRetrieval {
       ids
     }
 
-    val inter = lists.map(_.toSet).reduce(_ intersect _)
-    // rank-sum over the candidate lists; absent ⇒ never (inter only)
-    val rankSum: Map[Int, Int] = inter.map { id =>
-      id -> lists.map(_.indexOf(id)).sum
-    }.toMap
-    val ranked = inter.toSeq.sortBy(id => (rankSum(id), id))
-    val fill = lists.head.filterNot(inter.contains)
+    // Rank-sum over the candidate lists, for ids present in every list
+    // (each list holds distinct ids): one pass per list over id-indexed arrays.
+    val hits = new Array[Int](store.n)
+    val rankSum = new Array[Int](store.n)
+    lists.foreach(ids => ids.indices.foreach { r => hits(ids(r)) += 1; rankSum(ids(r)) += r })
+    val (inter, fill) = lists.head.partition(id => hits(id) == lists.length)
+    // Order by (rank sum, id), packed into one Long per id.
+    val ranked = inter.map(id => (rankSum(id).toLong << 32) | id).sorted.map(_.toInt)
     val top = (ranked ++ fill).take(k)
-    MrResult(q.qid, q.gt, top.map(_.toLong), inter.size)
+    MrResult(q.qid, q.gt, top.map(_.toLong).toSeq, inter.length)
   }
 
   /** Distributed MR search over a query Dataset. */

@@ -45,27 +45,54 @@ object JointSimilarity {
       threshold: Double,
   ): PartialResult = {
     require(w.length == o.length)
+    val scan = new PartialScan(w, q)
+    val ip = scan(o, threshold)
+    PartialResult(ip, scan.pruned, scan.scanned)
+  }
+
+  /** [[partialJointIP]] for one query against many objects, with no
+    * allocation per object: the active-modality mask and the initial
+    * suffix mass are computed once. Each call runs the same floating-point
+    * operations in the same order, so results are bit-identical; `pruned`
+    * and `scanned` describe the most recent call. Not thread-safe — one
+    * instance per query.
+    */
+  final class PartialScan(w: Array[Double], q: Array[Array[Double]]) {
+    private val active = Array.tabulate(w.length)(i => i < q.length && q(i).length > 0 && w(i) != 0.0)
     // Suffix mass Σ_{i>=x} w_i over *active* modalities bounds the unscanned part.
-    var remaining = 0.0
-    var i = 0
-    while (i < o.length) {
-      if (i < q.length && q(i).length > 0 && w(i) != 0.0) remaining += math.abs(w(i))
-      i += 1
+    private val total = {
+      var s = 0.0; var i = 0
+      while (i < active.length) { if (active(i)) s += math.abs(w(i)); i += 1 }
+      s
     }
-    var partial = 0.0
+    var pruned = false
     var scanned = 0
-    i = 0
-    while (i < o.length) {
-      if (i < q.length && q(i).length > 0 && w(i) != 0.0) {
-        partial += w(i) * VecOps.dot(q(i), o(i))
-        remaining -= math.abs(w(i))
-        scanned += 1
-        if (partial + remaining <= threshold)
-          return PartialResult(partial + remaining, pruned = true, scanned)
+
+    /** True iff some query slot is non-empty with a non-zero weight. */
+    def hasActive: Boolean = active.contains(true)
+
+    /** Joint IP of `o` (modalities beyond `w.length` are ignored), or the
+      * Lemma-4 bound at the stopping point when the scan is pruned. */
+    def apply(o: Array[Array[Double]], threshold: Double): Double = {
+      var remaining = total
+      var partial = 0.0
+      scanned = 0
+      pruned = false
+      var i = 0
+      while (i < active.length) {
+        if (active(i)) {
+          partial += w(i) * VecOps.dot(q(i), o(i))
+          remaining -= math.abs(w(i))
+          scanned += 1
+          if (partial + remaining <= threshold) {
+            pruned = true
+            return partial + remaining
+          }
+        }
+        i += 1
       }
-      i += 1
+      partial
     }
-    PartialResult(partial, pruned = false, scanned)
   }
 
   /** Similarity measurement error (Eq. 4): 1 − IP(φ₀(a⁰), φ₀(r⁰)). */

@@ -82,4 +82,15 @@ class MrJeSpec extends AnyFunSuite with SparkSpec {
     val mustRecall = Metrics.recallSingleGt(must.map(r => (r.gt, r.results)).toSeq, 10)
     assert(mustRecall >= mrRecall, s"must=$mustRecall mr=$mrRecall")
   }
+
+  test("MR merge equals the reference indexOf merge, order, fill and intersection size included") {
+    val full = queries.collect()
+    val masked = MultiModalSynth.queries(spark, ds, enc, mask = Seq(true, false)).collect()
+    val auxOnly = MultiModalSynth.queries(spark, ds, enc, mask = Seq(false, true)).collect()
+    for (q <- full ++ masked ++ auxOnly; (k, l) <- Seq((10, 40), (5, 15), (10, 10))) {
+      val got = MultiStreamRetrieval.mergeKernel(q, oneHot.toArray, store, k, l)
+      assert(got == RefMultiStreamRetrieval.mergeKernel(q, oneHot.toArray, store, k, l),
+        s"query ${q.qid}, k=$k, l=$l")
+    }
+  }
 }

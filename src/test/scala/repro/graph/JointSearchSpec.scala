@@ -116,4 +116,71 @@ class JointSearchSpec extends AnyFunSuite with SparkSpec {
       .collect().sortBy(_.qid).map(_.results)
     assert(a.toSeq == b.toSeq)
   }
+
+  /** Exact top-k by the kernel's tie rule: desc joint IP, then asc id. */
+  private def exactRanking(st: VectorStore, ww: Array[Double], qv: Array[Array[Double]], k: Int): Seq[Long] =
+    (0 until st.n).sortBy(id => (-repro.core.JointSimilarity.jointIP(ww, qv, st.vecs(id)), id))
+      .take(k).map(_.toLong)
+
+  private def unit(xs: Double*): Array[Double] = repro.core.VecOps.normalize(xs.toArray)
+
+  test("n = 2: the kernel ranks both objects exactly") {
+    val st = new VectorStore(Array(Array(unit(1, 0), unit(0, 1)), Array(unit(0, 1), unit(1, 1))))
+    val idx = FusedIndexBuilder.build(spark, st, w, IndexConfig(gamma = 10, epsilon = 3))
+    val qv = Array(unit(0.2, 1), unit(1, 0))
+    Seq(SearchConfig(k = 1, l = 1), SearchConfig(k = 1, l = 2), SearchConfig(k = 2, l = 2)).foreach { cfg =>
+      val (ids, _, _, _, _) = JointSearch.searchKernel(qv, 0L, w, idx, st, cfg)
+      assert(ids.map(_.toLong).toSeq == exactRanking(st, w, qv, cfg.k), s"$cfg")
+    }
+  }
+
+  test("k > n returns min(k, n) distinct ids, in exact order") {
+    val q = queries.collect().head
+    val qv = q.vecs.map(_.toArray).toArray
+    val k = ds.n.toInt + 25
+    val (ids, _, _, _, _) = JointSearch.searchKernel(qv, q.qid, w, index, store, SearchConfig(k = k, l = k))
+    assert(ids.length == ds.n && ids.distinct.length == ds.n)
+    assert(ids.map(_.toLong).toSeq == exactRanking(store, w, qv, k))
+  }
+
+  test("l > n on a full query batch scores every object and returns the exact top-k") {
+    val res = JointSearch.search(queries, index, store, w, SearchConfig(k = 10, l = ds.n.toInt + 50))
+      .collect()
+    assert(res.length == ds.nQueries)
+    val byQid = queries.collect().map(q => q.qid -> q.vecs.map(_.toArray).toArray).toMap
+    res.foreach { r =>
+      assert(r.results == exactRanking(store, w, byQid(r.qid), 10), s"query ${r.qid}")
+      assert(r.dotProducts == ds.n * ds.m, s"query ${r.qid}: ${r.dotProducts} dots")
+    }
+  }
+
+  test("all-duplicate store: same results with and without Lemma 4, exact when l = n") {
+    val twin = Array(unit(1, 2, 3), unit(3, 2, 1))
+    val st = new VectorStore(Array.fill(60)(twin.map(_.clone())))
+    val idx = FusedIndexBuilder.build(spark, st, w, IndexConfig(gamma = 8, epsilon = 2))
+    val qv = Array(unit(1, 1, 1), unit(0, 1, 2))
+    Seq(10, 25, 60).foreach { l =>
+      val runs = Seq(true, false).map { partial =>
+        JointSearch.searchKernel(qv, 7L, w, idx, st, SearchConfig(k = 10, l = l, usePartialDistance = partial))
+      }
+      val ids = runs.map(_._1.toSeq)
+      assert(ids.head == ids(1), s"l=$l: Lemma 4 changed the result")
+      assert(ids.head.distinct.length == 10, s"l=$l: ${ids.head}")
+      if (l == st.n) assert(ids.head == (0 until 10))
+    }
+  }
+
+  test("a query with no active modality is rejected") {
+    val qv = store.vecs(0)
+    val empty = Array(Array.empty[Double], Array.empty[Double])
+    intercept[IllegalArgumentException](
+      JointSearch.searchKernel(empty, 0L, w, index, store, SearchConfig(k = 5, l = 20)))
+    // The only non-empty slot carries a zero weight.
+    intercept[IllegalArgumentException](
+      JointSearch.searchKernel(Array(Array.empty[Double], qv(1)), 0L, Array(0.5, 0.0), index, store,
+        SearchConfig(k = 5, l = 20)))
+    // Zero weights on every slot.
+    intercept[IllegalArgumentException](
+      JointSearch.searchKernel(qv, 0L, Array(0.0, 0.0), index, store, SearchConfig(k = 5, l = 20)))
+  }
 }
